@@ -20,7 +20,6 @@
 use std::time::Instant;
 
 use ioctopus::experiments::chaos;
-use ioctopus::perf;
 use simcore::campaign::{plan_for, shrink};
 use simcore::FaultPlan;
 
@@ -240,7 +239,6 @@ fn main() {
     }
 
     write_json(smoke, &sum, &per_family, &st, t0.elapsed().as_secs_f64());
-    let _ = perf::events(); // footer drains the counters
     bench::footer(t0);
     assert!(
         sum.ok(),

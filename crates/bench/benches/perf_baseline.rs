@@ -28,7 +28,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 use ioctopus::config::Placement;
 use ioctopus::experiments::tcp_rr::RrConfig;
 use ioctopus::experiments::{congestion, nvme_fio, pktgen, tcp_rr, tcp_stream};
-use ioctopus::{perf, sweep};
+use ioctopus::sweep;
+use telemetry::registry::EVENTS;
 
 struct Case {
     name: &'static str,
@@ -327,17 +328,17 @@ fn main() {
     );
     let mut rows = Vec::new();
     for c in CASES {
-        let _ = perf::take_events();
+        let _ = EVENTS.take();
         let s0 = Instant::now();
         let serial_sum = with_threads(Some(1), || (c.run)(smoke));
         let serial_s = s0.elapsed().as_secs_f64();
-        let _ = perf::take_events();
+        let _ = EVENTS.take();
 
         let a0 = allocation_count();
         let p0 = Instant::now();
         let parallel_sum = (c.run)(smoke);
         let parallel_s = p0.elapsed().as_secs_f64();
-        let events = perf::take_events();
+        let events = EVENTS.take();
         let allocs = allocation_count() - a0;
 
         let checksum_match = serial_sum.to_bits() == parallel_sum.to_bits();

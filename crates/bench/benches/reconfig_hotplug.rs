@@ -19,7 +19,6 @@
 use std::time::Instant;
 
 use ioctopus::experiments::{chaos, reconfig};
-use ioctopus::perf;
 use simcore::campaign::{plan_for, shrink};
 use simcore::FaultPlan;
 
@@ -208,7 +207,6 @@ fn main() {
     }
 
     write_json(smoke, &r, &sum, t0.elapsed().as_secs_f64());
-    let _ = perf::events(); // footer drains the counters
     bench::footer(t0);
     assert!(
         sum.ok(),

@@ -215,11 +215,6 @@ pub fn aggregate(seed: u64, reports: &[ScheduleReport]) -> CampaignReport {
     out
 }
 
-/// [`run_reports`] + [`aggregate`] in one call.
-pub fn run_campaign(seed: u64, count: u64) -> CampaignReport {
-    aggregate(seed, &run_reports(seed, count))
-}
-
 /// The three NetLoop-based families share one runner; `sabotage` arms the
 /// deliberately broken recovery path on the server (test harnesses only).
 fn run_netloop(
@@ -278,10 +273,10 @@ fn run_netloop(
     let robust = nl.duplex.server.robustness();
     let events = nl.events_processed();
     let fenced = robust.fenced_completions + robust.fenced_irqs;
-    crate::perf::note_events(events);
-    crate::perf::note_audits(nl.audit.checks());
-    crate::perf::note_fenced(fenced);
-    crate::perf::note_reconfigs(robust.reconfigs);
+    telemetry::registry::EVENTS.add(events);
+    telemetry::registry::AUDITS.add(nl.audit.checks());
+    telemetry::registry::FENCED.add(fenced);
+    telemetry::registry::RECONFIGS.add(robust.reconfigs);
     ScheduleReport {
         family,
         index,
@@ -423,8 +418,8 @@ fn run_nvme(index: u64, plan: &FaultPlan) -> ScheduleReport {
             )
         },
     );
-    crate::perf::note_events(issued);
-    crate::perf::note_audits(audit.checks());
+    telemetry::registry::EVENTS.add(issued);
+    telemetry::registry::AUDITS.add(audit.checks());
     ScheduleReport {
         family: Family::NvmeMedia,
         index,
@@ -480,8 +475,8 @@ pub fn sabotaged_run_trips_audit(plan: &FaultPlan) -> bool {
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + Dur::from_ms(3));
     nl.run_audit();
-    crate::perf::note_events(nl.events_processed());
-    crate::perf::note_audits(nl.audit.checks());
+    telemetry::registry::EVENTS.add(nl.events_processed());
+    telemetry::registry::AUDITS.add(nl.audit.checks());
     !nl.audit.ok()
 }
 
@@ -530,8 +525,8 @@ pub fn sabotaged_readd_trips_audit(plan: &FaultPlan) -> bool {
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + Dur::from_ms(3));
     nl.run_audit();
-    crate::perf::note_events(nl.events_processed());
-    crate::perf::note_audits(nl.audit.checks());
+    telemetry::registry::EVENTS.add(nl.events_processed());
+    telemetry::registry::AUDITS.add(nl.audit.checks());
     !nl.audit.ok()
 }
 

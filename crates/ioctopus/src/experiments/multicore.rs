@@ -64,7 +64,7 @@ pub fn run_rx(p: Placement, instances: usize, sim_ms: u64) -> ThroughputResult {
         })
         .sum();
     nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
+    telemetry::registry::EVENTS.add(nl.events_processed());
     let consumed: u64 = idxs
         .iter()
         .map(|&i| match nl.app(i) {

@@ -154,7 +154,7 @@ pub fn run_raw(streams: usize, octo: bool, sim_ms: u64) -> FioRun {
         let r = ssds[ssd].read(t, buf, BLOCK_BYTES, &mut fabric, &mut mem);
         heap.push(Pending { at: r.done_at, job });
     }
-    crate::perf::note_events(completions);
+    telemetry::registry::EVENTS.add(completions);
     let window = end.since(warmup).as_secs();
     let stream_total: u64 =
         ants.iter().map(StreamAntagonist::bytes_done).sum::<u64>() - stream_base;

@@ -72,7 +72,7 @@ pub fn run(
     }
     // Each pktgen round is one burst-sized batch of sim work; credit the
     // packets it pushed as this runner's event count.
-    crate::perf::note_events(packets);
+    telemetry::registry::EVENTS.add(packets);
     let bytes = measured * pkt_bytes;
     ThroughputResult {
         config: p.label().to_string(),

@@ -90,7 +90,7 @@ pub fn run(cfg: RrConfig, msg: u64, transactions: usize) -> LatencyResult {
     nl.start_apps(Time::ZERO);
     // Generous deadline; RR self-terminates at the transaction target.
     nl.run(Time::from_ms(400));
-    crate::perf::note_events(nl.events_processed());
+    telemetry::registry::EVENTS.add(nl.events_processed());
     match nl.app(i) {
         App::Rr(a) => {
             let mut h = a.rtt.clone();

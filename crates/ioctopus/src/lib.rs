@@ -37,7 +37,6 @@ pub mod config;
 pub mod experiments;
 pub mod netloop;
 pub mod params;
-pub mod perf;
 pub mod results;
 pub mod sweep;
 pub mod system;

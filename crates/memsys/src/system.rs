@@ -682,12 +682,6 @@ impl MemSystem {
         self.mmio_extra_hops(core_node, dev_node)
     }
 
-    /// Queueing delay currently present in the `from → to` interconnect
-    /// direction (diagnostic).
-    pub fn interconnect_queue_delay(&self, now: Time, from: NodeId, to: NodeId) -> Dur {
-        self.qpi.queue_delay(now, from, to)
-    }
-
     /// A traffic snapshot since the last [`reset_counters`](Self::reset_counters).
     pub fn counters(&self) -> Counters {
         Counters {

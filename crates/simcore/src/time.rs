@@ -195,11 +195,6 @@ impl Dur {
         Dur(self.0.saturating_sub(other.0))
     }
 
-    /// Whether this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// The time it takes to move `bytes` bytes at `bytes_per_sec`.
     ///
     /// Computed in 128-bit arithmetic so that multi-gigabyte transfers on
