@@ -1171,7 +1171,10 @@ pub fn make_tx_stream(
 }
 
 /// Builds an [`Rr`] app over fresh sockets/threads.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the independent knobs of a request-response connection; a config struct would only rename them"
+)]
 pub fn make_rr(
     duplex: &mut Duplex,
     server_core: usize,
@@ -1212,7 +1215,10 @@ pub fn make_rr(
 
 /// Builds a [`Kv`] connection with `keys` values stored on the server
 /// worker's node.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the independent knobs of a key-value connection; a config struct would only rename them"
+)]
 pub fn make_kv(
     duplex: &mut Duplex,
     server_core: usize,

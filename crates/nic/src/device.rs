@@ -306,7 +306,10 @@ impl Nic {
     /// `local` means the PF's I/O controller and the address's home node
     /// coincide; DDIO applies to payload writes only.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "per-transaction values on the DMA hot path; a bundling struct would be built and torn down per DMA"
+    )]
     fn note_dma(
         &mut self,
         now: Time,
@@ -849,7 +852,10 @@ impl Nic {
     ///
     /// Steering: MPFS picks the PF (by MAC or by IOctoRFS flow rule), the
     /// PF's ARFS table picks the queue, RSS hashes as a fallback.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the packet's header fields plus the two substrates it mutates"
+    )]
     pub fn on_wire_packet(
         &mut self,
         now: Time,

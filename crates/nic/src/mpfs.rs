@@ -80,6 +80,10 @@ impl Mpfs {
     }
 
     /// Number of flow rules currently steering to `pf`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-independent: only counts matching rules"
+    )]
     pub fn flows_on(&self, pf: PfId) -> usize {
         self.flows.values().filter(|&&p| p == pf).count()
     }
@@ -92,6 +96,10 @@ impl Mpfs {
     /// hash map, and iterating it directly would make the update sequence
     /// (and anything seeded from it) nondeterministic across runs.
     pub fn resteer(&mut self, from: PfId, to: PfId) -> usize {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-independent: collects the matching tuples, sorted below"
+        )]
         let mut moved: Vec<FlowTuple> = self
             .flows
             .iter()

@@ -75,6 +75,10 @@ impl ArfsTable {
     pub fn expire(&mut self, now: Time) -> usize {
         let expiry = self.expiry;
         let before = self.rules.len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-independent: the predicate is pure, so the surviving set does not depend on visit order"
+        )]
         self.rules.retain(|_, r| now.since(r.last_hit) < expiry);
         before - self.rules.len()
     }

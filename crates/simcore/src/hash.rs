@@ -91,18 +91,32 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the deterministic Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned seed-free wrapper: fixes the hasher to FxBuildHasher"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the deterministic Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned seed-free wrapper: fixes the hasher to FxBuildHasher"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// A map's entries sorted by key — the sanctioned way to iterate a hash map
-/// from code that schedules events (simlint rule `unordered-iteration`).
+/// in a simulation crate (determinism rule R3, enforced by clippy's
+/// `disallowed_methods` and `iter_over_hash_type`; DESIGN.md §11).
 ///
 /// Even with a seed-free hasher, hash-map iteration order depends on
 /// insertion history and capacity growth; any event scheduled from inside
 /// such a loop inherits that order as a tiebreak. Sorting by key first makes
 /// the visit order a pure function of the map's *contents*.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned sorted view: generic over the hasher, sorts before returning"
+)]
 pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<(&K, &V)> {
     let mut entries: Vec<_> = map.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -110,6 +124,11 @@ pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) ->
 }
 
 /// A set's (or map's key) view sorted ascending — see [`sorted_entries`].
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned sorted view: generic over the hasher, sorts before returning"
+)]
 pub fn sorted_keys<K: Ord, S>(set: &std::collections::HashSet<K, S>) -> Vec<&K> {
     let mut keys: Vec<_> = set.iter().collect();
     keys.sort_unstable();

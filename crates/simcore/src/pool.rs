@@ -31,12 +31,18 @@ pub const THREADS_ENV: &str = "IOCTOPUS_THREADS";
 /// `IOCTOPUS_THREADS` if set, otherwise the machine's available
 /// parallelism, never more than `jobs` and never less than 1.
 pub fn worker_count(jobs: usize) -> usize {
-    // simlint: allow(wallclock) — explicit operator override; worker count affects wall time only, results stay input-order deterministic (tests/parallel_sweep.rs)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "explicit operator override; worker count affects wall time only, results stay input-order deterministic (tests/parallel_sweep.rs)"
+    )]
     let configured = std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0);
-    // simlint: allow(wallclock) — host parallelism picks the worker count, never the results; serial-vs-parallel bit-identity is gated dynamically
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host parallelism picks the worker count, never the results; serial-vs-parallel bit-identity is gated dynamically"
+    )]
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -116,7 +122,10 @@ mod tests {
         // Make later items finish first by sleeping on the early ones.
         let out = scoped_map((0..32u64).collect(), |i| {
             if i < 4 {
-                // simlint: allow(wallclock) — test intentionally delays early items to prove the join restores input order
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "test intentionally delays early items to prove the join restores input order"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(10 - 2 * i));
             }
             i * 100

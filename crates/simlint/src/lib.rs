@@ -1,11 +1,12 @@
-//! `simlint` — the workspace determinism & hot-path lint pass.
+//! `simlint` — the workspace hot-path and time-cast lint pass.
 //!
 //! The reproduction's core claim is bit-identical determinism: figure
 //! checksums, serial-vs-parallel sweep identity (DESIGN.md §6.1), and the
 //! zero-allocation steady state (§6.2) are enforced *dynamically*, so a
-//! stray default-hasher map or a wall-clock call only surfaces as a flaky
-//! checksum long after merge. This crate turns those conventions into a
-//! machine-checked contract that runs in the lint wall on every PR: a
+//! violation only surfaces as a flaky checksum or an allocation count long
+//! after merge. The type-aware half of that contract (R1–R3: seeded
+//! hashers, wall-clock reads, hash-order iteration) is clippy's, configured
+//! in the workspace `clippy.toml`. This crate checks the rest: a
 //! dependency-free lexical analysis over every `.rs` file in the workspace,
 //! enforcing the rule catalogue in [`rules`] (described for humans in
 //! DESIGN.md §11).
@@ -14,18 +15,17 @@
 //!
 //! ```text
 //! cargo run -p simlint -- --workspace
-//! cargo run -p simlint -- --workspace --audit-suppressions   # CI mode
 //! ```
 //!
 //! Violations can be suppressed inline — with a mandatory reason:
 //!
 //! ```text
-//! // simlint: allow(wallclock) — worker count only affects wall time, not results
+//! // simlint: allow(lossy-time-cast) — sole sanctioned ps→f64 boundary
 //! ```
 //!
 //! Reasonless pragmas do not suppress (the finding stays active and the
-//! pragma itself violates `pragma-hygiene`); `--audit-suppressions`
-//! additionally fails on pragmas that no longer suppress anything.
+//! pragma itself violates `pragma-hygiene`), and pragmas that no longer
+//! suppress anything fail the run, as a stale `#[expect]` fails clippy.
 
 pub mod lexer;
 pub mod report;
@@ -33,17 +33,7 @@ pub mod rules;
 pub mod scan;
 
 use report::Report;
-use rules::RuleId;
 use std::path::{Path, PathBuf};
-
-/// Lint options.
-#[derive(Debug, Default, Clone)]
-pub struct Options {
-    /// Fail on pragmas that suppress nothing (CI drift detection).
-    pub audit_suppressions: bool,
-    /// Restrict to these rules (empty = all).
-    pub only: Vec<RuleId>,
-}
 
 /// Directories (workspace-relative) whose `.rs` files are scanned.
 const SCAN_ROOTS: [&str; 3] = ["src", "tests", "examples"];
@@ -102,52 +92,46 @@ fn rel_path(root: &Path, p: &Path) -> String {
 }
 
 /// Lints the whole workspace under `root`.
-pub fn lint_workspace(root: &Path, opts: &Options) -> Report {
+pub fn lint_workspace(root: &Path) -> Report {
     let mut rep = Report::default();
     for path in workspace_files(root) {
         let rel = rel_path(root, &path);
         let Ok(src) = std::fs::read_to_string(&path) else {
             continue;
         };
-        collect(&rel, &src, opts, &mut rep);
+        collect(&rel, &src, &mut rep);
         rep.files_scanned += 1;
     }
-    finish(opts, &mut rep);
+    finish(&mut rep);
     rep
 }
 
 /// Lints a single in-memory source with a virtual workspace-relative path
-/// (the path drives crate scoping) — the entry point fixture tests use.
-pub fn lint_source(rel: &str, src: &str, opts: &Options) -> Report {
+/// (the path selects the hot-path list) — the entry point fixture tests use.
+pub fn lint_source(rel: &str, src: &str) -> Report {
     let mut rep = Report::default();
-    collect(rel, src, opts, &mut rep);
+    collect(rel, src, &mut rep);
     rep.files_scanned = 1;
-    finish(opts, &mut rep);
+    finish(&mut rep);
     rep
 }
 
-fn collect(rel: &str, src: &str, opts: &Options, rep: &mut Report) {
+fn collect(rel: &str, src: &str, rep: &mut Report) {
     let mut fs = scan::scan_source(rel, src);
-    if !opts.only.is_empty() {
-        fs.findings.retain(|f| opts.only.contains(&f.rule));
-        fs.suppressed.retain(|f| opts.only.contains(&f.rule));
-    }
     rep.findings.append(&mut fs.findings);
     rep.suppressed.append(&mut fs.suppressed);
     rep.pragmas.append(&mut fs.pragmas);
 }
 
-fn finish(opts: &Options, rep: &mut Report) {
+fn finish(rep: &mut Report) {
     rep.findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     rep.suppressed
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    if opts.audit_suppressions {
-        rep.unused_pragmas = rep
-            .pragmas
-            .iter()
-            .filter(|p| !p.used && p.reason.is_some())
-            .cloned()
-            .collect();
-    }
+    rep.unused_pragmas = rep
+        .pragmas
+        .iter()
+        .filter(|p| !p.used && p.reason.is_some())
+        .cloned()
+        .collect();
 }

@@ -1,24 +1,20 @@
-//! CLI for the workspace determinism & hot-path lint pass.
+//! CLI for the workspace hot-path and time-cast lint pass.
 //!
 //! ```text
-//! cargo run -p simlint -- --workspace [--audit-suppressions] [--rule <slug>]
-//!                         [--json <path>|-] [--root <dir>] [--list-rules]
+//! cargo run -p simlint -- --workspace [--json <path>|-] [--root <dir>] [--list-rules]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations (or audit failures), `2` usage
-//! error. The JSON report (schema `simlint-v1`) is written to `SIMLINT.json`
-//! at the workspace root unless `--json` overrides the path (`-` = stdout).
+//! Exit codes: `0` clean, `1` violations (or pragmas that suppress
+//! nothing), `2` usage error. The JSON report (schema `simlint-v1`) is
+//! written to `SIMLINT.json` at the workspace root unless `--json`
+//! overrides the path (`-` = stdout).
 
-use simlint::rules::{RuleId, ALL_RULES};
-use simlint::Options;
+use simlint::rules::ALL_RULES;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: simlint --workspace [--audit-suppressions] [--rule <slug>]... \
-         [--json <path>|-] [--root <dir>] [--list-rules]"
-    );
+    eprintln!("usage: simlint --workspace [--json <path>|-] [--root <dir>] [--list-rules]");
     ExitCode::from(2)
 }
 
@@ -26,12 +22,10 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut json: Option<String> = None;
-    let mut opts = Options::default();
     let mut list_rules = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--workspace" => {}
-            "--audit-suppressions" => opts.audit_suppressions = true,
             "--list-rules" => list_rules = true,
             "--root" => match args.next() {
                 Some(r) => root = Some(PathBuf::from(r)),
@@ -40,13 +34,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(p) => json = Some(p),
                 None => return usage(),
-            },
-            "--rule" => match args.next().as_deref().and_then(RuleId::from_slug) {
-                Some(r) => opts.only.push(r),
-                None => {
-                    eprintln!("unknown rule slug (see --list-rules)");
-                    return usage();
-                }
             },
             _ => return usage(),
         }
@@ -59,18 +46,19 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // When run via `cargo run -p simlint`, the workspace root is two levels
-    // above this crate's manifest; fall back to the current directory.
+    // The workspace root is two levels above this crate's manifest; fall
+    // back to the current directory when the binary runs from elsewhere.
     let root = root.unwrap_or_else(|| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .ok()
-            .map(|m| PathBuf::from(m).join("../.."))
-            .filter(|p| p.join("Cargo.toml").exists())
-            .unwrap_or_else(|| PathBuf::from("."))
+        let manifest_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        if manifest_root.join("Cargo.toml").exists() {
+            manifest_root
+        } else {
+            PathBuf::from(".")
+        }
     });
     let root = root.canonicalize().unwrap_or(root);
 
-    let report = simlint::lint_workspace(&root, &opts);
+    let report = simlint::lint_workspace(&root);
 
     let json_text = report.to_json();
     match json.as_deref() {

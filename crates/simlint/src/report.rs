@@ -17,7 +17,7 @@ pub struct Report {
     pub pragmas: Vec<PragmaRecord>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Pragmas that suppressed nothing (populated in audit mode only).
+    /// Reasoned pragmas that suppressed nothing (each fails the run).
     pub unused_pragmas: Vec<PragmaRecord>,
 }
 

@@ -1,29 +1,21 @@
 //! Per-file rule matching over the lexed token stream.
 //!
 //! The matchers are deliberately *lexical*: they know paths, call shapes,
-//! and declared-type names, not inferred types. That buys zero dependencies
+//! and identifier names, not inferred types. That buys zero dependencies
 //! and sub-second whole-workspace runs, at the cost of documented
-//! approximations (e.g. R3 recognizes maps by their declaration site in the
-//! same file). Each approximation errs toward silence on code it cannot
-//! classify; the dynamic gates (checksums, `alloc_count`, sweep identity)
-//! remain the backstop.
+//! approximations (e.g. R4 recognizes picosecond values by name). Each
+//! approximation errs toward silence on code it cannot classify; the
+//! dynamic gates (checksums, `alloc_count`, sweep identity) remain the
+//! backstop. The type-aware determinism rules (R1–R3) are clippy's job:
+//! see `clippy.toml` at the workspace root.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::rules::RuleId;
-use std::collections::BTreeSet;
-
-/// Crates exempt from the sim-determinism rules (R1/R2/R3): the bench
-/// harnesses are *supposed* to read wall-clocks, and the lint/model-checker
-/// tooling is not part of the simulation.
-const TOOL_CRATE_PREFIXES: [&str; 3] = ["crates/bench/", "crates/simlint/", "crates/loom/"];
-
-/// The sanctioned wrapper around `std::collections` hash types.
-const HASH_WRAPPER_FILE: &str = "crates/simcore/src/hash.rs";
 
 /// The zero-alloc hot-path list: (file suffix, steady-state functions).
 /// Mirrors DESIGN.md §6.2; the runtime `alloc_count` gate enforces the same
 /// contract dynamically over ~13k events.
-const HOT_FNS: [(&str, &[&str]); 6] = [
+pub const HOT_FNS: [(&str, &[&str]); 6] = [
     (
         "crates/kernel/src/host.rs",
         &[
@@ -49,18 +41,6 @@ const HOT_FNS: [(&str, &[&str]); 6] = [
     ),
     ("crates/telemetry/src/trace.rs", &["push"]),
     ("crates/telemetry/src/flight.rs", &["record_dma"]),
-];
-
-const MAP_TYPES: [&str; 4] = ["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
-const ITER_METHODS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
 ];
 
 /// One rule violation (or suppressed violation) at a source location.
@@ -125,11 +105,6 @@ impl<'a> Sig<'a> {
     }
     fn is_punct(&self, i: usize, c: char) -> bool {
         matches!(self.toks.get(i), Some(t) if t.kind == TokKind::Punct && t.text.as_bytes() == [c as u8])
-    }
-    /// `::` immediately before token `i` (so `i - 3` is the previous path
-    /// segment).
-    fn sep_before(&self, i: usize) -> bool {
-        i >= 2 && self.is_punct(i - 1, ':') && self.is_punct(i - 2, ':')
     }
     /// `::` immediately after token `i`.
     fn sep_after(&self, i: usize) -> bool {
@@ -213,47 +188,30 @@ fn fn_spans(sig: &Sig<'_>) -> Vec<FnSpan> {
     spans
 }
 
-/// Names in this file declared with a hash-map/set type, via either a type
-/// ascription (`name: FxHashMap<...>` — fields, lets, params) or a
-/// constructor binding (`let name = FxHashMap::default()`).
-fn map_typed_names(sig: &Sig<'_>) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..sig.toks.len() {
-        let Some(t) = sig.id(i) else { continue };
-        if !MAP_TYPES.contains(&t) {
-            continue;
-        }
-        if sig.is_punct(i + 1, '<') {
-            // Ascription: walk back over any `path::` segments to the colon.
-            let mut j = i;
-            while sig.sep_before(j) && j >= 3 && sig.id(j - 3).is_some() {
-                j -= 3;
-            }
-            if j >= 2 && sig.is_punct(j - 1, ':') && !sig.is_punct(j - 2, ':') {
-                if let Some(name) = sig.id(j - 2) {
-                    names.insert(name.to_string());
-                }
-            }
-        } else if sig.sep_after(i) {
-            // Constructor: `let [mut] name = [path::]Type::default()`.
-            let mut j = i;
-            while sig.sep_before(j) && j >= 3 && sig.id(j - 3).is_some() {
-                j -= 3;
-            }
-            if j >= 1 && sig.is_punct(j - 1, '=') {
-                let mut k = j - 2;
-                if sig.is_id(k, "mut") && k >= 1 {
-                    k -= 1;
-                }
-                if let Some(name) = sig.id(k) {
-                    if k >= 1 && sig.is_id(k - 1, "let") {
-                        names.insert(name.to_string());
-                    }
-                }
-            }
-        }
-    }
-    names
+/// [`fn_spans`] minus the bodies inside `#[cfg(test)] mod` blocks.
+fn non_test_fn_spans(sig: &Sig<'_>) -> Vec<FnSpan> {
+    let test_ranges = cfg_test_ranges(sig);
+    fn_spans(sig)
+        .into_iter()
+        .filter(|span| {
+            !test_ranges
+                .iter()
+                .any(|&(a, b)| span.body.0 > a && span.body.1 <= b + 1)
+        })
+        .collect()
+}
+
+/// Names of the functions with a body in `src` outside `#[cfg(test)]`
+/// modules: the bodies R5 checks against [`HOT_FNS`].
+pub fn fn_names(src: &str) -> Vec<String> {
+    let toks: Vec<Tok> = lex(src)
+        .into_iter()
+        .filter(|t| t.kind != TokKind::Comment)
+        .collect();
+    non_test_fn_spans(&Sig { toks: &toks })
+        .into_iter()
+        .map(|span| span.name)
+        .collect()
 }
 
 /// Sig-token ranges of `#[cfg(test)] mod ... { ... }` bodies. The hot-path
@@ -311,24 +269,6 @@ fn cfg_test_ranges(sig: &Sig<'_>) -> Vec<(usize, usize)> {
             j += 1;
         }
         ranges.push((start, j.min(n)));
-    }
-    ranges
-}
-
-/// Token ranges of `use ...;` statements, for import-site matching.
-fn use_ranges(sig: &Sig<'_>) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let mut i = 0;
-    while i < sig.toks.len() {
-        if sig.is_id(i, "use") {
-            let mut j = i + 1;
-            while j < sig.toks.len() && !sig.is_punct(j, ';') {
-                j += 1;
-            }
-            ranges.push((i, j));
-            i = j;
-        }
-        i += 1;
     }
     ranges
 }
@@ -404,14 +344,10 @@ fn parse_pragmas(rel: &str, toks: &[Tok], sig_lines: &[u32], out: &mut FileScan)
     }
 }
 
-fn is_tool_crate(rel: &str) -> bool {
-    TOOL_CRATE_PREFIXES.iter().any(|p| rel.starts_with(p))
-}
-
 /// Scans one file's source, returning findings after pragma application.
 ///
-/// `rel` is the workspace-relative path (forward slashes); it drives crate
-/// scoping, so fixture tests can exercise any rule by picking a virtual
+/// `rel` is the workspace-relative path (forward slashes); it selects the
+/// [`HOT_FNS`] entry, so fixture tests can exercise R5 by picking a virtual
 /// path.
 pub fn scan_source(rel: &str, src: &str) -> FileScan {
     let toks = lex(src);
@@ -432,11 +368,6 @@ pub fn scan_source(rel: &str, src: &str) -> FileScan {
     parse_pragmas(rel, &toks, &sig_lines, &mut out);
 
     let mut raw: Vec<(RuleId, u32, String)> = Vec::new();
-    if !is_tool_crate(rel) {
-        rule_default_hasher(rel, &sig, &mut raw);
-        rule_wallclock(&sig, &mut raw);
-        rule_unordered_iteration(&sig, &mut raw);
-    }
     rule_lossy_time_cast(&sig, &mut raw);
     rule_hot_path_alloc(rel, &sig, &mut raw);
 
@@ -500,161 +431,6 @@ pub fn scan_source(rel: &str, src: &str) -> FileScan {
     out.findings.sort_by_key(|a| (a.line, a.rule));
     out.suppressed.sort_by_key(|a| (a.line, a.rule));
     out
-}
-
-/// R1: default-hasher hash collections in sim crates.
-fn rule_default_hasher(rel: &str, sig: &Sig<'_>, raw: &mut Vec<(RuleId, u32, String)>) {
-    if rel == HASH_WRAPPER_FILE {
-        return;
-    }
-    let uses = use_ranges(sig);
-    for i in 0..sig.toks.len() {
-        let Some(t) = sig.id(i) else { continue };
-        if t == "RandomState" {
-            raw.push((
-                RuleId::DefaultHasher,
-                sig.line(i),
-                "explicit RandomState (seeded per-process; breaks replay determinism)".into(),
-            ));
-            continue;
-        }
-        if t != "HashMap" && t != "HashSet" {
-            continue;
-        }
-        // Constructor / associated call with the default hasher.
-        if sig.sep_after(i) {
-            if let Some(m) = sig.id(i + 3) {
-                if matches!(m, "new" | "with_capacity" | "default") {
-                    raw.push((
-                        RuleId::DefaultHasher,
-                        sig.line(i),
-                        format!(
-                            "{t}::{m}() uses the seeded default hasher; use simcore::hash::Fx{t} (or with_hasher)"
-                        ),
-                    ));
-                    continue;
-                }
-            }
-        }
-        // Import from std::collections.
-        let in_std_use = uses.iter().any(|&(a, b)| {
-            i > a
-                && i < b
-                && (a..b).any(|j| sig.is_id(j, "collections"))
-                && (a..b).any(|j| sig.is_id(j, "std"))
-        });
-        if in_std_use {
-            raw.push((
-                RuleId::DefaultHasher,
-                sig.line(i),
-                format!("import of std::collections::{t}; use simcore::hash::Fx{t} in sim crates"),
-            ));
-        }
-    }
-}
-
-/// R2: wall-clock / environment nondeterminism outside `crates/bench`.
-fn rule_wallclock(sig: &Sig<'_>, raw: &mut Vec<(RuleId, u32, String)>) {
-    for i in 0..sig.toks.len() {
-        let Some(t) = sig.id(i) else { continue };
-        let hit: Option<String> = match t {
-            "Instant" if sig.sep_after(i) && sig.is_id(i + 3, "now") => {
-                Some("Instant::now() reads the wall clock".into())
-            }
-            "SystemTime" => Some("SystemTime is wall-clock time".into()),
-            "sleep" if sig.sep_before(i) && sig.id(i.wrapping_sub(3)) == Some("thread") => {
-                Some("thread::sleep makes timing OS-dependent".into())
-            }
-            "available_parallelism" => {
-                Some("available_parallelism() depends on the host machine".into())
-            }
-            "var" | "var_os" | "vars"
-                if sig.sep_before(i) && sig.id(i.wrapping_sub(3)) == Some("env") =>
-            {
-                Some(format!("env::{t}() makes behavior environment-dependent"))
-            }
-            "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => Some(format!(
-                "{t} draws OS entropy; use simcore::rng seeded streams"
-            )),
-            _ => None,
-        };
-        if let Some(msg) = hit {
-            raw.push((RuleId::Wallclock, sig.line(i), msg));
-        }
-    }
-}
-
-/// R3: hash-order iteration inside functions that schedule events.
-fn rule_unordered_iteration(sig: &Sig<'_>, raw: &mut Vec<(RuleId, u32, String)>) {
-    let maps = map_typed_names(sig);
-    if maps.is_empty() {
-        return;
-    }
-    for span in fn_spans(sig) {
-        let (a, b) = span.body;
-        let schedules = (a..b).any(|i| match sig.id(i) {
-            Some(t) if t.starts_with("schedule") && sig.is_punct(i + 1, '(') => true,
-            Some("push")
-                if sig.is_punct(i + 1, '(')
-                    && sig.is_punct(i.wrapping_sub(1), '.')
-                    && matches!(sig.id(i.wrapping_sub(2)), Some("q") | Some("queue")) =>
-            {
-                true
-            }
-            Some("push_outs") if sig.is_punct(i + 1, '(') => true,
-            _ => false,
-        });
-        if !schedules {
-            continue;
-        }
-        for i in a..b {
-            // `map.iter()` / `map.keys()` / ... with a known map receiver.
-            if let Some(m) = sig.id(i) {
-                if ITER_METHODS.contains(&m)
-                    && sig.is_punct(i + 1, '(')
-                    && sig.is_punct(i.wrapping_sub(1), '.')
-                {
-                    if let Some(recv) = sig.id(i.wrapping_sub(2)) {
-                        if maps.contains(recv) {
-                            raw.push((
-                                RuleId::UnorderedIteration,
-                                sig.line(i),
-                                format!(
-                                    "`{recv}.{m}()` iterates hash order inside scheduling fn `{}`; use simcore::hash::sorted_entries/sorted_keys",
-                                    span.name
-                                ),
-                            ));
-                        }
-                    }
-                }
-                // `for x in &map {` / `for x in &self.map {`
-                if m == "in" {
-                    let mut j = i + 1;
-                    if sig.is_punct(j, '&') {
-                        j += 1;
-                    }
-                    if sig.is_id(j, "mut") {
-                        j += 1;
-                    }
-                    if sig.is_id(j, "self") && sig.is_punct(j + 1, '.') {
-                        j += 2;
-                    }
-                    if let Some(name) = sig.id(j) {
-                        if maps.contains(name) && sig.is_punct(j + 1, '{') {
-                            raw.push((
-                                RuleId::UnorderedIteration,
-                                sig.line(i),
-                                format!(
-                                    "`for _ in &{name}` iterates hash order inside scheduling fn `{}`; use simcore::hash::sorted_entries/sorted_keys",
-                                    span.name
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// R4: lossy `as` casts on picosecond values.
@@ -727,15 +503,8 @@ fn rule_hot_path_alloc(rel: &str, sig: &Sig<'_>, raw: &mut Vec<(RuleId, u32, Str
         return;
     };
     const ALLOC_METHODS: [&str; 5] = ["clone", "to_string", "to_owned", "to_vec", "collect"];
-    let test_ranges = cfg_test_ranges(sig);
-    for span in fn_spans(sig) {
+    for span in non_test_fn_spans(sig) {
         if !hot.contains(&span.name.as_str()) {
-            continue;
-        }
-        if test_ranges
-            .iter()
-            .any(|&(a, b)| span.body.0 > a && span.body.1 <= b + 1)
-        {
             continue;
         }
         let (a, b) = span.body;

@@ -2,5 +2,5 @@
 // Hygiene findings are never suppressible, so there is no "suppressed"
 // variant for this rule.
 pub fn noop() {
-    // simlint: allow wallclock — missing parentheses
+    // simlint: allow lossy-time-cast — missing parentheses
 }

@@ -6,32 +6,33 @@
 //! Fixtures live under `tests/fixtures/` — a directory `lint_workspace`
 //! explicitly excludes, so the seeded violations never pollute a real run.
 //! Each fixture is linted via [`simlint::lint_source`] under a *virtual*
-//! workspace path, which is what drives crate scoping (sim crate vs tool
-//! crate, hot-path file lists).
+//! workspace path, which is what selects the hot-path function list.
 
 use simlint::report::Report;
 use simlint::rules::RuleId;
-use simlint::{lint_source, Options};
+use simlint::scan::{fn_names, HOT_FNS};
+use simlint::{lint_source, workspace_files};
+use std::path::Path;
 
 /// Virtual path placing a fixture inside a simulation crate.
 const SIM_PATH: &str = "crates/simcore/src/fixture.rs";
-/// Virtual path placing a fixture in the event-loop crate (R3 shapes).
+/// Virtual path placing a fixture in the event-loop crate (outside the
+/// hot-path file list).
 const LOOP_PATH: &str = "crates/ioctopus/src/fixture.rs";
 /// Virtual path aliasing the hot-path file list entry for `NetLoop`.
 const HOT_PATH: &str = "crates/ioctopus/src/netloop.rs";
-/// Virtual path placing a fixture inside the telemetry crate (a sim crate:
-/// trace artifacts are covered by the determinism contract).
+/// Virtual path placing a fixture inside the telemetry crate.
 const TELEM_PATH: &str = "crates/telemetry/src/fixture.rs";
 
 fn fixture(name: &str) -> String {
-    let p = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let p = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
 }
 
 fn lint(virtual_path: &str, name: &str) -> Report {
-    lint_source(virtual_path, &fixture(name), &Options::default())
+    lint_source(virtual_path, &fixture(name))
 }
 
 fn rules_of(findings: &[simlint::scan::Finding]) -> Vec<RuleId> {
@@ -73,110 +74,6 @@ fn assert_suppressed(rep: &Report, rule: RuleId) {
     assert!(
         rep.pragmas.iter().any(|p| p.used),
         "the pragma should be marked used"
-    );
-}
-
-// R1 — default-hasher -----------------------------------------------------
-
-#[test]
-fn default_hasher_fires_on_std_collections() {
-    // Import site + constructor site.
-    let rep = lint("crates/kernel/src/fixture.rs", "default_hasher_positive.rs");
-    assert_fires(&rep, RuleId::DefaultHasher, 2);
-}
-
-#[test]
-fn default_hasher_silent_on_fx_wrappers() {
-    assert_clean(&lint(
-        "crates/kernel/src/fixture.rs",
-        "default_hasher_negative.rs",
-    ));
-}
-
-#[test]
-fn default_hasher_pragma_suppresses() {
-    let rep = lint(
-        "crates/kernel/src/fixture.rs",
-        "default_hasher_suppressed.rs",
-    );
-    assert_suppressed(&rep, RuleId::DefaultHasher);
-}
-
-#[test]
-fn default_hasher_exempt_in_tool_crates_and_wrapper() {
-    // The bench crate is allowed wall-clocks and default hashers…
-    assert_clean(&lint(
-        "crates/bench/src/fixture.rs",
-        "default_hasher_positive.rs",
-    ));
-    // …and the Fx wrapper file itself is the sanctioned declaration site.
-    assert_clean(&lint(
-        "crates/simcore/src/hash.rs",
-        "default_hasher_negative.rs",
-    ));
-}
-
-// R2 — wallclock -----------------------------------------------------------
-
-#[test]
-fn wallclock_fires_on_instant_sleep_parallelism_env() {
-    let rep = lint(SIM_PATH, "wallclock_positive.rs");
-    assert_fires(&rep, RuleId::Wallclock, 4);
-}
-
-#[test]
-fn wallclock_silent_on_virtual_time() {
-    assert_clean(&lint(SIM_PATH, "wallclock_negative.rs"));
-}
-
-#[test]
-fn wallclock_pragma_suppresses() {
-    assert_suppressed(
-        &lint(SIM_PATH, "wallclock_suppressed.rs"),
-        RuleId::Wallclock,
-    );
-}
-
-#[test]
-fn wallclock_exempt_in_bench_crate() {
-    assert_clean(&lint(
-        "crates/bench/src/fixture.rs",
-        "wallclock_positive.rs",
-    ));
-}
-
-#[test]
-fn wallclock_fires_in_telemetry_exporters() {
-    // The telemetry crate is NOT a tool crate: its exporters feed the
-    // determinism suite, so host-time reads are violations there.
-    let rep = lint(TELEM_PATH, "telemetry_wallclock_positive.rs");
-    assert_fires(&rep, RuleId::Wallclock, 3);
-}
-
-#[test]
-fn wallclock_silent_on_sim_time_exporter() {
-    assert_clean(&lint(TELEM_PATH, "telemetry_wallclock_negative.rs"));
-}
-
-// R3 — unordered-iteration -------------------------------------------------
-
-#[test]
-fn unordered_iteration_fires_in_scheduling_fn() {
-    // `for _ in &self.flows` + `flows.keys()`.
-    let rep = lint(LOOP_PATH, "unordered_iteration_positive.rs");
-    assert_fires(&rep, RuleId::UnorderedIteration, 2);
-}
-
-#[test]
-fn unordered_iteration_silent_via_sorted_helper() {
-    assert_clean(&lint(LOOP_PATH, "unordered_iteration_negative.rs"));
-}
-
-#[test]
-fn unordered_iteration_pragma_suppresses() {
-    assert_suppressed(
-        &lint(LOOP_PATH, "unordered_iteration_suppressed.rs"),
-        RuleId::UnorderedIteration,
     );
 }
 
@@ -252,8 +149,8 @@ fn hot_path_alloc_covers_telemetry_record_paths() {
 fn pragma_hygiene_fires_on_reasonless_and_unknown() {
     let rep = lint(SIM_PATH, "pragma_hygiene_positive.rs");
     assert_fires(&rep, RuleId::PragmaHygiene, 2);
-    // The reasonless pragma did NOT silence the wallclock finding.
-    assert_fires(&rep, RuleId::Wallclock, 1);
+    // The reasonless pragma did NOT silence the lossy-time-cast finding.
+    assert_fires(&rep, RuleId::LossyTimeCast, 1);
     assert!(rep.suppressed.is_empty());
 }
 
@@ -275,43 +172,46 @@ fn pragma_hygiene_fires_on_malformed_pragma() {
 
 #[test]
 fn audit_flags_pragmas_that_suppress_nothing() {
-    let src = "// simlint: allow(wallclock) — stale justification\npub fn clean() {}\n";
-    let audit = Options {
-        audit_suppressions: true,
-        ..Options::default()
-    };
-    let rep = lint_source(SIM_PATH, src, &audit);
+    let src = "// simlint: allow(lossy-time-cast) — stale justification\npub fn clean() {}\n";
+    let rep = lint_source(SIM_PATH, src);
     assert_eq!(rep.unused_pragmas.len(), 1);
-    // Without audit mode the stale pragma is tolerated.
-    let rep = lint_source(SIM_PATH, src, &Options::default());
-    assert!(rep.unused_pragmas.is_empty());
-}
-
-#[test]
-fn rule_filter_restricts_findings() {
-    let opts = Options {
-        only: vec![RuleId::Wallclock],
-        ..Options::default()
-    };
-    let rep = lint_source(SIM_PATH, &fixture("lossy_time_cast_positive.rs"), &opts);
-    assert_clean(&rep);
 }
 
 #[test]
 fn json_report_lists_all_rules_and_findings() {
-    let rep = lint(SIM_PATH, "wallclock_positive.rs");
+    let rep = lint(SIM_PATH, "lossy_time_cast_positive.rs");
     let json = rep.to_json();
     assert!(json.contains("\"schema\": \"simlint-v1\""));
-    // The rule catalogue (>= 5 distinct rules) is always present.
-    for slug in [
-        "default-hasher",
-        "wallclock",
-        "unordered-iteration",
-        "lossy-time-cast",
-        "hot-path-alloc",
-        "pragma-hygiene",
-    ] {
+    // The rule catalogue is always present.
+    for slug in ["lossy-time-cast", "hot-path-alloc", "pragma-hygiene"] {
         assert!(json.contains(&format!("\"slug\":\"{slug}\"")), "{slug}");
     }
-    assert!(json.contains("\"slug\":\"wallclock\",\"file\":\"crates/simcore/src/fixture.rs\""));
+    assert!(
+        json.contains("\"slug\":\"lossy-time-cast\",\"file\":\"crates/simcore/src/fixture.rs\"")
+    );
+}
+
+// The hot-path list against the real workspace ----------------------------
+
+#[test]
+fn every_hot_fn_resolves_to_a_body_in_its_file() {
+    // R5 matches functions by name in the files `HOT_FNS` lists; a rename
+    // or a moved file would silently drop a function from the rule.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let scanned = workspace_files(&root);
+    for (file, fns) in HOT_FNS {
+        let path = root.join(file);
+        assert!(
+            scanned.contains(&path),
+            "{file} is not among the linted files"
+        );
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {file}: {e}"));
+        let names = fn_names(&src);
+        for f in fns {
+            assert!(
+                names.iter().any(|n| n == f),
+                "hot-path fn `{f}` has no body in {file}"
+            );
+        }
+    }
 }
