@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use bench::{json_escape, plan_json, repo_root};
 use ioctopus::experiments::chaos;
 use simcore::campaign::{plan_for, shrink};
 use simcore::FaultPlan;
@@ -26,36 +27,6 @@ use simcore::FaultPlan;
 /// Fixed campaign seed: CI reruns are bit-identical, and any violation is
 /// reproducible from `(SEED, index)` alone.
 const SEED: u64 = 0x10c7_0b05;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn plan_json(plan: &FaultPlan) -> String {
-    let evs: Vec<String> = plan
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
-                e.at.as_ps(),
-                e.pf,
-                json_escape(&format!("{:?}", e.kind))
-            )
-        })
-        .collect();
-    format!("[{}]", evs.join(", "))
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let mut root = std::env::current_dir().unwrap_or_default();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            return std::env::current_dir().unwrap_or_default();
-        }
-    }
-    root
-}
 
 struct SelfTest {
     index: u64,

@@ -18,6 +18,7 @@
 
 use std::time::Instant;
 
+use bench::{json_escape, plan_json, repo_root};
 use ioctopus::experiments::{chaos, reconfig};
 use simcore::campaign::{plan_for, shrink};
 use simcore::FaultPlan;
@@ -26,36 +27,6 @@ use simcore::FaultPlan;
 /// reproducible from `(SEED, index)` alone. Distinct from the `chaos`
 /// harness's seed so the two campaigns explore different schedules.
 const SEED: u64 = 0x10c7_0b09;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn plan_json(plan: &FaultPlan) -> String {
-    let evs: Vec<String> = plan
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
-                e.at.as_ps(),
-                e.pf,
-                json_escape(&format!("{:?}", e.kind))
-            )
-        })
-        .collect();
-    format!("[{}]", evs.join(", "))
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let mut root = std::env::current_dir().unwrap_or_default();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            return std::env::current_dir().unwrap_or_default();
-        }
-    }
-    root
-}
 
 fn write_min_plan(seed: u64, index: u64, plan: &FaultPlan, violations: &[String]) {
     let path = repo_root().join("CHAOS_MIN_PLAN.json");

@@ -16,14 +16,7 @@ use ioctopus::experiments::tcp_stream;
 const TRACE_CAP: usize = 1 << 14;
 
 fn artifact_dir() -> Option<std::path::PathBuf> {
-    let mut root = std::env::current_dir().ok()?;
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            root = std::env::current_dir().ok()?;
-            break;
-        }
-    }
-    let dir = root.join("target").join("telemetry");
+    let dir = bench::repo_root().join("target").join("telemetry");
     std::fs::create_dir_all(&dir).ok()?;
     Some(dir)
 }

@@ -4,11 +4,19 @@
 //! `cargo bench`: it re-runs the corresponding experiment from
 //! [`ioctopus::experiments`] and prints the paper's rows/series next to the
 //! paper's reference values, so `cargo bench --workspace` regenerates the
-//! entire evaluation.
+//! entire evaluation. The chaos, hotplug and telemetry smoke harnesses
+//! share the artifact helpers ([`repo_root`], [`json_escape`],
+//! [`plan_json`]).
+//!
+//! Footers report wall-clock only; the simulator's own speed is measured
+//! by the separate `simbench` package, never by these harnesses.
 
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use simcore::FaultPlan;
 
 /// Prints the standard figure header.
 pub fn header(fig: &str, caption: &str) {
@@ -17,44 +25,10 @@ pub fn header(fig: &str, caption: &str) {
     println!("==================================================================");
 }
 
-/// Prints the closing footer with wall-clock cost and the self-profiled
-/// event throughput since the header. Drains the run counters
-/// ([`telemetry::registry::take_run_stats`]) that the experiment runners
-/// credit and that `perf_baseline` reads for the baseline JSON, so every
-/// consumer reports from one source.
+/// Prints the closing footer with the wall-clock cost since the header.
 pub fn footer(started: Instant) {
     let secs = started.elapsed().as_secs_f64();
-    let telemetry::registry::RunStats {
-        events,
-        audits,
-        fenced,
-        reconfigs,
-    } = telemetry::registry::take_run_stats();
-    let checks = if audits > 0 && secs > 0.0 {
-        format!(" | {:.1}M checks/s", audits as f64 / 1e6 / secs)
-    } else {
-        String::new()
-    };
-    // Hotplug accounting, shown only by harnesses that reconfigured: every
-    // fenced delivery was counted-and-discarded, never delivered.
-    let hotplug = if reconfigs > 0 || fenced > 0 {
-        format!(" | {reconfigs} reconfigs | {fenced} fenced")
-    } else {
-        String::new()
-    };
-    if events > 0 && secs > 0.0 {
-        println!(
-            "--------------------- [{:.1}s wall-clock | {:.1}M events | {:.1}M events/s{}{} | {} workers]\n",
-            secs,
-            events as f64 / 1e6,
-            events as f64 / 1e6 / secs,
-            checks,
-            hotplug,
-            simcore::pool::worker_count(usize::MAX),
-        );
-    } else {
-        println!("------------------------------------------------ [{secs:.1}s wall-clock]\n");
-    }
+    println!("------------------------------------------------ [{secs:.1}s wall-clock]\n");
 }
 
 /// Formats a ratio as the paper's `N.NNx` annotations.
@@ -73,6 +47,34 @@ pub fn shape(ok: bool) -> &'static str {
     } else {
         "[shape DEVIATES — see EXPERIMENTS.md]"
     }
+}
+
+/// The workspace root, fixed at compile time, where the harnesses write
+/// their `BENCH_*.json` and `CHAOS_MIN_PLAN.json` artifacts.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Escapes `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Renders a fault plan as a JSON array of `{at_ps, pf, kind}` objects.
+pub fn plan_json(plan: &FaultPlan) -> String {
+    let evs: Vec<String> = plan
+        .events()
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
+                e.at.as_ps(),
+                e.pf,
+                json_escape(&format!("{:?}", e.kind))
+            )
+        })
+        .collect();
+    format!("[{}]", evs.join(", "))
 }
 
 #[cfg(test)]

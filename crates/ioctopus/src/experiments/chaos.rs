@@ -273,10 +273,6 @@ fn run_netloop(
     let robust = nl.duplex.server.robustness();
     let events = nl.events_processed();
     let fenced = robust.fenced_completions + robust.fenced_irqs;
-    telemetry::registry::EVENTS.add(events);
-    telemetry::registry::AUDITS.add(nl.audit.checks());
-    telemetry::registry::FENCED.add(fenced);
-    telemetry::registry::RECONFIGS.add(robust.reconfigs);
     ScheduleReport {
         family,
         index,
@@ -418,8 +414,6 @@ fn run_nvme(index: u64, plan: &FaultPlan) -> ScheduleReport {
             )
         },
     );
-    telemetry::registry::EVENTS.add(issued);
-    telemetry::registry::AUDITS.add(audit.checks());
     ScheduleReport {
         family: Family::NvmeMedia,
         index,
@@ -475,8 +469,6 @@ pub fn sabotaged_run_trips_audit(plan: &FaultPlan) -> bool {
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + Dur::from_ms(3));
     nl.run_audit();
-    telemetry::registry::EVENTS.add(nl.events_processed());
-    telemetry::registry::AUDITS.add(nl.audit.checks());
     !nl.audit.ok()
 }
 
@@ -525,8 +517,6 @@ pub fn sabotaged_readd_trips_audit(plan: &FaultPlan) -> bool {
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + Dur::from_ms(3));
     nl.run_audit();
-    telemetry::registry::EVENTS.add(nl.events_processed());
-    telemetry::registry::AUDITS.add(nl.audit.checks());
     !nl.audit.ok()
 }
 

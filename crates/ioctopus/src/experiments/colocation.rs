@@ -86,7 +86,6 @@ pub fn run(p: Placement, io: IoKind, pr_chunks: u64, deadline_ms: u64) -> Coloca
     nl.set_pagerank(pr, Time::ZERO);
     nl.start_apps(Time::ZERO);
     nl.run(Time::from_ms(deadline_ms));
-    telemetry::registry::EVENTS.add(nl.events_processed());
 
     let pr_time = nl.pagerank_done.map(|t| t.as_ms()).unwrap_or(f64::INFINITY);
     let secs = nl.now().as_secs();
@@ -126,7 +125,6 @@ pub fn run_pr_alone(pr_chunks: u64) -> f64 {
     let pr = PageRank::new(&nl.duplex.server.mem, PR_THREADS_PER_NODE, pr_chunks);
     nl.set_pagerank(pr, Time::ZERO);
     nl.run(Time::from_ms(10_000));
-    telemetry::registry::EVENTS.add(nl.events_processed());
     nl.pagerank_done.map(|t| t.as_ms()).unwrap_or(f64::INFINITY)
 }
 

@@ -59,7 +59,6 @@ pub fn run_fig11(p: Placement, pairs: usize, sim_ms: u64) -> ThroughputResult {
         _ => unreachable!(),
     };
     nl.run(w.end);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let consumed = match nl.app(i) {
         App::Rx(a) => a.consumed - base,
         _ => unreachable!(),
@@ -103,7 +102,6 @@ pub fn run_fig12(p: Placement, pairs: usize, transactions: usize) -> LatencyResu
     add_pairs(&mut nl, pairs);
     nl.start_apps(Time::ZERO);
     nl.run(Time::from_ms(400));
-    telemetry::registry::EVENTS.add(nl.events_processed());
     match nl.app(i) {
         App::Rr(a) => {
             let mut h = a.rtt.clone();

@@ -56,7 +56,6 @@ pub fn run(octo: bool) -> FailoverResult {
     nl.install_fault_plan(&plan, WATCHDOG_EVERY);
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + TOTAL);
-    telemetry::registry::EVENTS.add(nl.events_processed());
 
     let consumed = match nl.app(i) {
         App::Rx(a) => a.consumed,

@@ -70,7 +70,6 @@ pub fn run(p: Placement, set_ratio: f64, sim_ms: u64) -> ThroughputResult {
     };
     let (done0, bytes0) = snapshot(&nl, &idxs);
     nl.run(w.end);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let (done1, bytes1) = snapshot(&nl, &idxs);
     let cores = nl.duplex.server.mem.topology().total_cores();
     ThroughputResult {

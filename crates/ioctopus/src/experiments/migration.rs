@@ -49,7 +49,6 @@ pub fn run(octo: bool) -> MigrationResult {
     nl.schedule_migration(Time::ZERO + MIGRATE_AT, thread, 14);
     nl.start_apps(Time::ZERO);
     nl.run(Time::ZERO + TOTAL);
-    telemetry::registry::EVENTS.add(nl.events_processed());
 
     MigrationResult {
         config: if octo { "octoNIC" } else { "ethNIC" }.to_string(),

@@ -64,7 +64,6 @@ pub fn run_rx(p: Placement, instances: usize, sim_ms: u64) -> ThroughputResult {
         })
         .sum();
     nl.run(w.end);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let consumed: u64 = idxs
         .iter()
         .map(|&i| match nl.app(i) {

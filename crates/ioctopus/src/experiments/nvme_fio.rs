@@ -127,12 +127,10 @@ pub fn run_raw(streams: usize, octo: bool, sim_ms: u64) -> FioRun {
     let mut fio_bytes = 0u64;
     let mut stream_base = 0u64;
     let mut counted = false;
-    let mut completions = 0u64;
     while let Some(Pending { at, job }) = heap.pop() {
         if at > end {
             break;
         }
-        completions += 1;
         // Step antagonists whose clocks lag this completion.
         for (i, a) in ants.iter_mut().enumerate() {
             while ant_clocks[i] < at {
@@ -154,7 +152,6 @@ pub fn run_raw(streams: usize, octo: bool, sim_ms: u64) -> FioRun {
         let r = ssds[ssd].read(t, buf, BLOCK_BYTES, &mut fabric, &mut mem);
         heap.push(Pending { at: r.done_at, job });
     }
-    telemetry::registry::EVENTS.add(completions);
     let window = end.since(warmup).as_secs();
     let stream_total: u64 =
         ants.iter().map(StreamAntagonist::bytes_done).sum::<u64>() - stream_base;

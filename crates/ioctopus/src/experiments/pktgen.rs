@@ -43,7 +43,6 @@ pub fn run(
 
     let w = Window::of_ms(sim_ms);
     let mut t = Time::ZERO;
-    let mut packets: u64 = 0;
     let mut measured: u64 = 0;
     let mut counters_reset = false;
     let mut outs = OutBuf::new();
@@ -65,14 +64,10 @@ pub fn run(
             64,
             &mut outs,
         );
-        packets += outs.len() as u64;
         measured += outs.len() as u64;
         assert!(done > t, "pktgen must make progress");
         t = done;
     }
-    // Each pktgen round is one burst-sized batch of sim work; credit the
-    // packets it pushed as this runner's event count.
-    telemetry::registry::EVENTS.add(packets);
     let bytes = measured * pkt_bytes;
     ThroughputResult {
         config: p.label().to_string(),

@@ -71,7 +71,6 @@ pub fn run() -> ReconfigResult {
     nl.run(Time::ZERO + READD_AT);
     let at_readd = pause(&nl);
     nl.run(Time::ZERO + TOTAL);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let at_end = pause(&nl);
     let locality = at_end.table.clone();
 
@@ -82,8 +81,6 @@ pub fn run() -> ReconfigResult {
     let samples = pf_rates(&nl.samples);
     let robust = nl.duplex.server.robustness();
     let nic = nl.duplex.server.nic.counters();
-    telemetry::registry::FENCED.add(robust.fenced_completions + robust.fenced_irqs);
-    telemetry::registry::RECONFIGS.add(robust.reconfigs);
 
     let remove_ms = REMOVE_AT.as_secs() * 1e3;
     let readd_ms = READD_AT.as_secs() * 1e3;

@@ -90,7 +90,6 @@ pub fn run(cfg: RrConfig, msg: u64, transactions: usize) -> LatencyResult {
     nl.start_apps(Time::ZERO);
     // Generous deadline; RR self-terminates at the transaction target.
     nl.run(Time::from_ms(400));
-    telemetry::registry::EVENTS.add(nl.events_processed());
     match nl.app(i) {
         App::Rr(a) => {
             let mut h = a.rtt.clone();

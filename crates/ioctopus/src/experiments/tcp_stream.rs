@@ -81,7 +81,6 @@ fn run_rx_inner(
         _ => unreachable!(),
     };
     nl.run(w.end);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let consumed = match nl.app(i) {
         App::Rx(a) => a.consumed - base,
         _ => unreachable!(),
@@ -144,7 +143,6 @@ fn run_tx_inner(
         _ => unreachable!(),
     };
     nl.run(w.end);
-    telemetry::registry::EVENTS.add(nl.events_processed());
     let consumed = match nl.app(i) {
         App::Tx(a) => a.consumed - base,
         _ => unreachable!(),

@@ -4,12 +4,8 @@
 //! time only, no wallclock, no hash-order dependence, zero allocation in
 //! steady state):
 //!
-//! * [`registry`] — run accounting and per-run metric snapshots: four
-//!   process-wide counters (events, audits, fenced deliveries,
-//!   reconfigurations) that the experiment runners credit once per
-//!   simulation and the bench footers / results JSON drain, plus the
-//!   sorted [`Snapshot`] table the substrate components fill from their
-//!   own counters at harvest time.
+//! * [`registry`] — the per-run metric [`Snapshot`]: a sorted table the
+//!   substrate components fill from their own counters at harvest time.
 //! * [`trace`] — a span/event tracer: fixed-size [`trace::TraceRecord`]s
 //!   stamped with simulated time, pushed into pre-sized per-domain
 //!   ring buffers ([`trace::TraceRing`]) owned by the component that
@@ -34,5 +30,5 @@ pub mod registry;
 pub mod trace;
 
 pub use flight::{FlightRecorder, LedgerCells, LocalityTable};
-pub use registry::{Counter, RunStats, Snapshot};
+pub use registry::Snapshot;
 pub use trace::{Domain, TraceKind, TraceRecord, TraceRing, TraceSet};

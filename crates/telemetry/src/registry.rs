@@ -1,46 +1,12 @@
-//! Run accounting and per-run metric snapshots.
+//! Per-run metric snapshots.
 //!
-//! Two pieces:
+//! A [`Snapshot`] is a plain sorted table each component fills from its
+//! own counters at harvest time (see `NetLoop::metrics_snapshot` in the
+//! `ioctopus` crate). It belongs to one run, so nothing is smeared across
+//! sweep threads.
 //!
-//! * **Run accounting**: four process-wide [`Counter`]s ([`EVENTS`],
-//!   [`AUDITS`], [`FENCED`], [`RECONFIGS`]) that the experiment runners
-//!   credit once per simulation and the bench harnesses drain with
-//!   [`take_run_stats`] for their footers and the baseline JSON. Each
-//!   credit is one relaxed atomic add: safe under the parallel sweep,
-//!   exact once the pool has joined.
-//! * **Per-run snapshots** ([`Snapshot`]) are plain sorted tables each
-//!   component fills from its own counters at harvest time (see
-//!   `NetLoop::metrics_snapshot` in the `ioctopus` crate). They carry
-//!   the per-run story that must not be smeared across sweep threads.
-//!
-//! Determinism: snapshot labels are `&'static str` and render in sorted
-//! label order. Nothing depends on hash order, pointer values, or
-//! wallclock.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing counter (relaxed atomics: cheap under the
-/// parallel sweep, exact once the pool has joined).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads and resets, returning the value at the moment of reset.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
-}
+//! Determinism: labels are `&'static str` and render in sorted label
+//! order. Nothing depends on hash order, pointer values, or wallclock.
 
 /// A per-run metric table: `(label, value)` rows a harvest pass fills
 /// from component counters, rendered in sorted label order.
@@ -88,72 +54,9 @@ impl Snapshot {
     }
 }
 
-/// Simulation events dispatched. Runners credit their event loop's final
-/// count once per simulation.
-pub static EVENTS: Counter = Counter::new();
-/// Invariant checks (individual `simcore::Audit` predicate evaluations).
-pub static AUDITS: Counter = Counter::new();
-/// Epoch-fenced completions/interrupts: stale deliveries from a
-/// surprise-removed device, counted and discarded.
-pub static FENCED: Counter = Counter::new();
-/// Completed quiesce/drain/rebind reconfigurations (hotplug transitions in
-/// either direction).
-pub static RECONFIGS: Counter = Counter::new();
-
-/// The aggregate accounting a bench footer prints, drained from the four
-/// run counters — the *single* source both the human footer and the
-/// machine-readable baseline JSON render from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Simulation events dispatched.
-    pub events: u64,
-    /// Invariant-audit predicate evaluations.
-    pub audits: u64,
-    /// Epoch-fenced completions/interrupts (counted, never delivered).
-    pub fenced: u64,
-    /// Completed quiesce/drain/rebind reconfigurations.
-    pub reconfigs: u64,
-}
-
-/// Drains the run accounting, returning the values at the reset instant.
-/// Harnesses call this once per figure to attribute work per figure.
-pub fn take_run_stats() -> RunStats {
-    RunStats {
-        events: EVENTS.take(),
-        audits: AUDITS.take(),
-        fenced: FENCED.take(),
-        reconfigs: RECONFIGS.take(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_add_take() {
-        let c = Counter::new();
-        c.add(5);
-        c.add(7);
-        assert_eq!(c.take(), 12);
-        assert_eq!(c.take(), 0);
-    }
-
-    #[test]
-    fn run_stats_roundtrip() {
-        // The counters are process-wide; other tests in this binary may
-        // credit them concurrently, so assert lower bounds only.
-        let _ = take_run_stats();
-        EVENTS.add(5);
-        AUDITS.add(2);
-        FENCED.add(1);
-        RECONFIGS.add(1);
-        let got = take_run_stats();
-        assert!(got.events >= 5);
-        assert!(got.audits >= 2);
-        assert!(got.fenced >= 1);
-        assert!(got.reconfigs >= 1);
-    }
 
     #[test]
     fn snapshot_renders_sorted() {

@@ -3,10 +3,10 @@
 //!
 //! The tracer rings are pre-sized at enable time and overwrite in place
 //! once full; the flight recorder reserves its row table up front and
-//! aggregates overflow into a fixed bucket; the run counters are
-//! statics. So steady-state dispatch must stay at **zero** heap
-//! allocations even while every record path is live — this is the
-//! property that keeps tracing safe to turn on against perf runs.
+//! aggregates overflow into a fixed bucket. So steady-state dispatch
+//! must stay at **zero** heap allocations even while every record path
+//! is live — this is the property that keeps tracing safe to turn on
+//! against perf runs.
 //!
 //! Single test in this binary on purpose: the allocator counter is
 //! process-wide, and a lone test keeps the measurement window quiet.

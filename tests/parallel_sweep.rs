@@ -5,30 +5,62 @@
 
 use ioctopus::config::Placement;
 use ioctopus::experiments::tcp_rr::RrConfig;
-use ioctopus::experiments::{tcp_rr, tcp_stream};
+use ioctopus::experiments::{congestion, nvme_fio, pktgen, tcp_rr, tcp_stream};
+use ioctopus::results::ThroughputResult;
 use ioctopus::sweep;
 
-/// A full Figure 6-style sweep (both placements at every message size),
-/// serial vs parallel, compared through exact bit patterns of every float.
+/// Every float of a throughput point, as exact bit patterns.
+fn tput_bits(r: &ThroughputResult) -> Vec<u64> {
+    [
+        r.x,
+        r.throughput_gbps,
+        r.membw_gbps,
+        r.cpu_cores,
+        r.rate_per_sec,
+    ]
+    .map(f64::to_bits)
+    .to_vec()
+}
+
+/// A full Figure 6-style sweep (both placements at every message size)
+/// plus one small sweep each of Figures 7, 8, 11 and 15, serial vs
+/// parallel, compared through the exact bit patterns of every float.
 #[test]
 fn fig06_sweep_parallel_is_bit_identical_to_serial() {
-    let sizes: Vec<u64> = vec![256, 4096, 65536];
-    let point = |msg: u64| {
-        let l = tcp_stream::run_rx(Placement::Octopus, msg, 3);
-        let r = tcp_stream::run_rx(Placement::Remote, msg, 3);
-        [
-            l.throughput_gbps,
-            l.membw_gbps,
-            l.cpu_cores,
-            r.throughput_gbps,
-            r.membw_gbps,
-            r.cpu_cores,
-        ]
-        .map(f64::to_bits)
-    };
-    let serial = sweep::sweep_serial(sizes.clone(), point);
-    let parallel = sweep::sweep(sizes, point);
-    assert_eq!(serial, parallel, "parallel sweep diverged from serial");
+    type Point = fn(u64) -> Vec<u64>;
+    let table: [(&str, Vec<u64>, Point); 5] = [
+        ("fig06 tcp rx", vec![256, 4096, 65536], |msg| {
+            let mut v = tput_bits(&tcp_stream::run_rx(Placement::Octopus, msg, 3));
+            v.extend(tput_bits(&tcp_stream::run_rx(Placement::Remote, msg, 3)));
+            v
+        }),
+        ("fig07 tcp tx", vec![256, 65536], |msg| {
+            tput_bits(&tcp_stream::run_tx(Placement::Octopus, msg, 2))
+        }),
+        ("fig08 pktgen", vec![64, 1500], |pkt| {
+            tput_bits(&pktgen::run(Placement::Remote, pkt, 2, false))
+        }),
+        ("fig11 congestion", vec![1, 4], |pairs| {
+            tput_bits(&congestion::run_fig11(Placement::Remote, pairs as usize, 3))
+        }),
+        ("fig15 nvme", vec![1, 4], |streams| {
+            let r = nvme_fio::run(streams as usize, false, 3);
+            [r.fio_normalized, r.stream_normalized, r.fio_gbs]
+                .map(f64::to_bits)
+                .to_vec()
+        }),
+    ];
+    let diverged: Vec<&str> = table
+        .into_iter()
+        .filter(|(_, points, point)| {
+            sweep::sweep_serial(points.clone(), point) != sweep::sweep(points.clone(), point)
+        })
+        .map(|(name, _, _)| name)
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "parallel sweep diverged from serial: {diverged:?}"
+    );
 }
 
 /// Latency figures exercise the RR apps and histograms; check those too.
