@@ -32,6 +32,16 @@ const DDIO: u64 = 1 << 1;
 /// Bits above the flags hold the slot's last-use tick.
 const TICK_SHIFT: u64 = 2;
 
+/// Floor on the length of an LLC's tag and metadata arrays: 32 MiB of
+/// `u64`. glibc serves an allocation of at least 32 MiB from a fresh
+/// zero-filled mapping and unmaps it on free, because its adaptive mmap
+/// threshold never rises above 32 MiB. A smaller slab comes from the heap
+/// once the first freed slab has raised that threshold; there `calloc`
+/// clears recycled memory page by page and freed pages stay resident, so
+/// the resident size of a run that builds many caches would depend on heap
+/// placement. The padding is address space that is never touched.
+const MIN_SLAB_SLOTS: usize = 4 << 20;
+
 /// LLC geometry and sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct LlcConfig {
@@ -76,8 +86,11 @@ pub enum Evicted {
 /// Storage is a flat slab of way slots, `cfg.ways` consecutive slots per
 /// set, indexed by `line % n_sets`. Every lookup on the DMA and copy paths
 /// walks one set per 64-byte line, so the index must be a direct slice
-/// access rather than a hash probe. Two properties matter for the
-/// zero-allocation hot path:
+/// access rather than a hash probe. Consecutive lines sit in consecutive
+/// sets, so those walks divide once per access and step the set index
+/// (the crate-private `*_at` forms of every per-line operation take it);
+/// the public per-address methods are wrappers over them. Three properties
+/// matter for the zero-allocation hot path and the memory footprint:
 ///
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
 ///   zeroed-page allocation path, so construction costs three allocator
@@ -88,6 +101,10 @@ pub enum Evicted {
 ///   invalidation). Scans iterate only the resident prefix — typically one
 ///   or two slots in the sparse footprints the experiments generate —
 ///   rather than the full associativity.
+/// * The tag and metadata arrays are at least 32 MiB long each
+///   (`MIN_SLAB_SLOTS`), so the allocator maps fresh zero pages for them
+///   and unmaps them on drop: a cache's resident memory is the pages its
+///   run touched, wherever the heap stands.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
@@ -116,7 +133,7 @@ impl Llc {
         assert!(cfg.ddio_ways <= cfg.ways, "DDIO ways cannot exceed total");
         assert!(cfg.sets() > 0, "cache must have at least one set");
         let n_sets = cfg.sets();
-        let slots = n_sets as usize * cfg.ways;
+        let slots = (n_sets as usize * cfg.ways).max(MIN_SLAB_SLOTS);
         Llc {
             cfg,
             tags: vec![0; slots],
@@ -134,21 +151,38 @@ impl Llc {
         self.cfg
     }
 
-    /// Set index of `line`.
-    fn set_of(&self, line: u64) -> usize {
+    /// Set index of `line`. The walks in [`system`](crate::system) divide
+    /// once per access and step with [`next_set`](Self::next_set).
+    pub(crate) fn set_of(&self, line: u64) -> usize {
         (line % self.n_sets) as usize
     }
 
-    /// Slot range of the resident prefix of the set holding `line`.
-    fn resident_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = self.set_of(line);
+    /// The set holding the line after one in `set`, wrapping at `n_sets`.
+    pub(crate) fn next_set(&self, set: usize) -> usize {
+        let next = set + 1;
+        if next as u64 == self.n_sets {
+            0
+        } else {
+            next
+        }
+    }
+
+    /// Slab range of `set`'s resident prefix.
+    fn prefix(&self, set: usize) -> std::ops::Range<usize> {
         let start = set * self.cfg.ways;
         start..start + self.lens[set] as usize
     }
 
-    /// Slot index of `line` within its set, if resident.
-    fn find(&self, line: u64) -> Option<usize> {
-        self.resident_range(line).find(|&i| self.tags[i] == line)
+    /// Tags and metadata of `set`'s resident lines.
+    fn resident(&self, set: usize) -> (&[u64], &[u64]) {
+        let r = self.prefix(set);
+        (&self.tags[r.clone()], &self.meta[r])
+    }
+
+    /// [`resident`](Self::resident), mutably.
+    fn resident_mut(&mut self, set: usize) -> (&mut [u64], &mut [u64]) {
+        let r = self.prefix(set);
+        (&mut self.tags[r.clone()], &mut self.meta[r])
     }
 
     fn state_of(meta: u64) -> LineState {
@@ -162,13 +196,19 @@ impl Llc {
     /// Looks up the line containing `addr`; returns its state on hit.
     /// Updates recency and hit/miss statistics.
     pub fn probe(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let line = addr.line();
+        self.probe_at(self.set_of(addr.line()), addr.line())
+    }
+
+    /// [`probe`](Self::probe) of `line`, which lives in `set`.
+    pub(crate) fn probe_at(&mut self, set: usize, line: u64) -> Option<LineState> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(i) = self.find(line) {
-            self.meta[i] = (self.meta[i] & (DIRTY | DDIO)) | (tick << TICK_SHIFT);
+        let (tags, meta) = self.resident_mut(set);
+        if let Some(k) = tags.iter().position(|&t| t == line) {
+            meta[k] = (meta[k] & (DIRTY | DDIO)) | (tick << TICK_SHIFT);
+            let state = Self::state_of(meta[k]);
             self.hits += 1;
-            return Some(Self::state_of(self.meta[i]));
+            return Some(state);
         }
         self.misses += 1;
         None
@@ -177,7 +217,15 @@ impl Llc {
     /// Looks up without disturbing recency or statistics (snoop from another
     /// agent).
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
-        self.find(addr.line()).map(|i| Self::state_of(self.meta[i]))
+        self.peek_at(self.set_of(addr.line()), addr.line())
+    }
+
+    /// [`peek`](Self::peek) of `line`, which lives in `set`.
+    pub(crate) fn peek_at(&self, set: usize, line: u64) -> Option<LineState> {
+        let (tags, meta) = self.resident(set);
+        tags.iter()
+            .position(|&t| t == line)
+            .map(|k| Self::state_of(meta[k]))
     }
 
     /// Inserts (or upgrades) the line containing `addr`.
@@ -186,7 +234,17 @@ impl Llc {
     /// device writes cannot occupy the whole cache. Returns eviction
     /// information so the caller can account the writeback.
     pub fn insert(&mut self, addr: PhysAddr, state: LineState, ddio: bool) -> Evicted {
-        let line = addr.line();
+        self.insert_at(self.set_of(addr.line()), addr.line(), state, ddio)
+    }
+
+    /// [`insert`](Self::insert) of `line`, which lives in `set`.
+    pub(crate) fn insert_at(
+        &mut self,
+        set: usize,
+        line: u64,
+        state: LineState,
+        ddio: bool,
+    ) -> Evicted {
         self.tick += 1;
         let tick = self.tick;
         let fresh = if state == LineState::Modified {
@@ -195,44 +253,44 @@ impl Llc {
             0
         } | if ddio { DDIO } else { 0 }
             | (tick << TICK_SHIFT);
+        let (ways, ddio_ways) = (self.cfg.ways, self.cfg.ddio_ways);
 
         // One pass over the resident prefix gathers everything a decision
         // needs: the tag match, the partition occupancy, and the LRU victim
         // of both the whole set and the DDIO partition. Last-use ticks are
         // unique — every touch consumes a fresh tick — so the victims are
         // deterministic regardless of slot order.
-        let range = self.resident_range(line);
-        let resident = range.len();
+        let (tags, meta) = self.resident_mut(set);
+        let resident = tags.len();
         let mut ddio_resident = 0usize;
         let mut lru: Option<usize> = None;
         let mut ddio_lru: Option<usize> = None;
-        for i in range {
-            if self.tags[i] == line {
+        for k in 0..resident {
+            if tags[k] == line {
                 // Upgrades stick; a Modified line never silently becomes
                 // Shared.
-                self.meta[i] = fresh | (self.meta[i] & DIRTY);
+                meta[k] = fresh | (meta[k] & DIRTY);
                 return Evicted::None;
             }
-            if lru.is_none_or(|b| self.meta[i] >> TICK_SHIFT < self.meta[b] >> TICK_SHIFT) {
-                lru = Some(i);
+            if lru.is_none_or(|b| meta[k] >> TICK_SHIFT < meta[b] >> TICK_SHIFT) {
+                lru = Some(k);
             }
-            if self.meta[i] & DDIO != 0 {
+            if meta[k] & DDIO != 0 {
                 ddio_resident += 1;
-                if ddio_lru.is_none_or(|b| self.meta[i] >> TICK_SHIFT < self.meta[b] >> TICK_SHIFT)
-                {
-                    ddio_lru = Some(i);
+                if ddio_lru.is_none_or(|b| meta[k] >> TICK_SHIFT < meta[b] >> TICK_SHIFT) {
+                    ddio_lru = Some(k);
                 }
             }
         }
 
         // Non-DDIO fills may use every way.
         let (limit, partition_len) = if ddio {
-            (self.cfg.ddio_ways, ddio_resident)
+            (ddio_ways, ddio_resident)
         } else {
-            (self.cfg.ways, resident)
+            (ways, resident)
         };
 
-        let (slot, evicted) = if partition_len >= limit || resident >= self.cfg.ways {
+        if partition_len >= limit || resident >= ways {
             // Evict the LRU line of the relevant partition (or of the whole
             // set if the set itself is full).
             let victim = if partition_len >= limit && ddio {
@@ -241,46 +299,79 @@ impl Llc {
                 lru
             }
             .expect("partition is non-empty when full");
-            let evicted = if self.meta[victim] & DIRTY != 0 {
-                Evicted::Dirty(self.tags[victim])
+            let evicted = if meta[victim] & DIRTY != 0 {
+                Evicted::Dirty(tags[victim])
             } else {
                 Evicted::Clean
             };
-            (victim, evicted)
+            tags[victim] = line;
+            meta[victim] = fresh;
+            evicted
         } else {
             // Grow the resident prefix by one slot.
-            let set = self.set_of(line);
+            let slot = set * ways + resident;
+            self.tags[slot] = line;
+            self.meta[slot] = fresh;
             self.lens[set] += 1;
-            (set * self.cfg.ways + resident, Evicted::None)
-        };
-
-        self.tags[slot] = line;
-        self.meta[slot] = fresh;
-        evicted
+            Evicted::None
+        }
     }
 
     /// Removes the line containing `addr` if present, returning its state.
     /// The caller decides whether a `Modified` line's contents matter (a full
     /// DMA overwrite drops them; an eviction writes them back).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let line = addr.line();
-        let i = self.find(line)?;
-        let state = Self::state_of(self.meta[i]);
+        self.invalidate_at(self.set_of(addr.line()), addr.line())
+    }
+
+    /// [`invalidate`](Self::invalidate) of `line`, which lives in `set`.
+    pub(crate) fn invalidate_at(&mut self, set: usize, line: u64) -> Option<LineState> {
+        let (tags, meta) = self.resident_mut(set);
+        let k = tags.iter().position(|&t| t == line)?;
+        let state = Self::state_of(meta[k]);
         // Swap-remove within the set to keep the resident prefix dense.
-        let set = self.set_of(line);
-        let last = set * self.cfg.ways + self.lens[set] as usize - 1;
-        self.tags[i] = self.tags[last];
-        self.meta[i] = self.meta[last];
+        let last = tags.len() - 1;
+        tags[k] = tags[last];
+        meta[k] = meta[last];
         self.lens[set] -= 1;
         Some(state)
+    }
+
+    /// Invalidates the `n` consecutive lines starting at `first_line`, which
+    /// lives in `set` — the per-line [`invalidate`](Self::invalidate) walk
+    /// in line order, minus the sets that hold nothing. Only the occupancy
+    /// bytes of empty sets are read, so a range write into memory this
+    /// cache has never seen costs one byte scan.
+    pub(crate) fn invalidate_range(&mut self, mut set: usize, first_line: u64, n: u64) {
+        let mut line = first_line;
+        let mut left = n;
+        while left > 0 {
+            // The run of sets up to the wrap point (or the range's end).
+            let run = left.min(self.n_sets - set as u64) as usize;
+            let mut k = 0;
+            while let Some(skip) = self.lens[set + k..set + run].iter().position(|&l| l != 0) {
+                k += skip;
+                self.invalidate_at(set + k, line + k as u64);
+                k += 1;
+            }
+            line += run as u64;
+            left -= run as u64;
+            set = 0;
+        }
     }
 
     /// Downgrades a `Modified` line to `Shared` (after a snoop writeback).
     /// Returns `true` if the line was present.
     pub fn downgrade(&mut self, addr: PhysAddr) -> bool {
-        match self.find(addr.line()) {
-            Some(i) => {
-                self.meta[i] &= !DIRTY;
+        self.downgrade_at(self.set_of(addr.line()), addr.line())
+    }
+
+    /// [`downgrade`](Self::downgrade) of `line`, which lives in `set`.
+    pub(crate) fn downgrade_at(&mut self, set: usize, line: u64) -> bool {
+        let (tags, meta) = self.resident_mut(set);
+        match tags.iter().position(|&t| t == line) {
+            Some(k) => {
+                meta[k] &= !DIRTY;
                 true
             }
             None => false,
@@ -471,6 +562,74 @@ mod tests {
                     .filter(|l| c.peek(PhysAddr(l * LINE_BYTES)).is_some())
                     .count();
                 assert!(count <= 4, "set {} holds {}", set, count);
+            }
+        }
+    }
+
+    #[test]
+    fn set_stepped_and_range_ops_match_per_address_ops() {
+        // 5 sets (not a power of two) x 3 ways, 1 DDIO way: small enough
+        // that random traffic fills sets, evicts, and laps the cache.
+        let cfg = LlcConfig {
+            capacity_bytes: 5 * 3 * LINE_BYTES,
+            ways: 3,
+            ddio_ways: 1,
+        };
+        let n_sets = cfg.sets();
+        assert_eq!(n_sets, 5);
+        // Ranges start below 10 * n_sets and span at most 3 * n_sets lines.
+        let footprint = 13 * n_sets;
+        let mut r = SimRng::seed(0x5e7_5e7);
+        for _ in 0..24 {
+            let mut walked = Llc::new(cfg);
+            let mut twin = Llc::new(cfg);
+            for _ in 0..150 {
+                // A quarter of the ranges start in the last set, so they
+                // wrap to set 0; lengths up to 3x the set count lap it.
+                let first = if r.chance(0.25) {
+                    n_sets - 1 + n_sets * r.below(10)
+                } else {
+                    r.below(10 * n_sets)
+                };
+                let n = 1 + r.below(3 * n_sets);
+                let op = r.below(6);
+                let mut set = walked.set_of(first);
+                if op == 5 {
+                    walked.invalidate_range(set, first, n);
+                    for line in first..first + n {
+                        twin.invalidate(PhysAddr(line * LINE_BYTES));
+                    }
+                } else {
+                    for line in first..first + n {
+                        let a = PhysAddr(line * LINE_BYTES);
+                        match op {
+                            0 | 1 => {
+                                let state = if r.chance(0.5) {
+                                    LineState::Modified
+                                } else {
+                                    LineState::Shared
+                                };
+                                let ddio = r.chance(0.5);
+                                assert_eq!(
+                                    walked.insert_at(set, line, state, ddio),
+                                    twin.insert(a, state, ddio)
+                                );
+                            }
+                            2 => assert_eq!(walked.probe_at(set, line), twin.probe(a)),
+                            3 => assert_eq!(walked.invalidate_at(set, line), twin.invalidate(a)),
+                            _ => assert_eq!(walked.downgrade_at(set, line), twin.downgrade(a)),
+                        }
+                        set = walked.next_set(set);
+                    }
+                }
+                assert_eq!(
+                    (walked.hits(), walked.misses()),
+                    (twin.hits(), twin.misses())
+                );
+                for line in 0..footprint {
+                    let a = PhysAddr(line * LINE_BYTES);
+                    assert_eq!(walked.peek(a), twin.peek(a), "line {line}");
+                }
             }
         }
     }

@@ -205,8 +205,15 @@ pub struct MemSystem {
 
 impl MemSystem {
     /// Builds the memory system described by `cfg`.
+    ///
+    /// # Panics
+    /// Panics if the topology has more than `MAX_NODES` (8) nodes.
     pub fn new(cfg: MemConfig) -> Self {
         let nodes = cfg.topology.nodes();
+        assert!(
+            nodes <= MAX_NODES,
+            "{nodes} nodes exceed the writeback accumulator's {MAX_NODES}"
+        );
         let llcs = (0..nodes).map(|_| Llc::new(cfg.llc)).collect();
         let dram = (0..nodes).map(|n| DramGroup::new(n, cfg.dram)).collect();
         let qpi = Interconnect::new(nodes, cfg.interconnect);
@@ -302,16 +309,17 @@ impl MemSystem {
         let mut c2c_lines = 0u64;
         let mut wb = WritebackAcc::default();
 
-        for i in 0..lines {
-            let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-            let local_state = self.llcs[node.0].probe(a);
+        let first = addr.line();
+        let mut set = self.llcs[node.0].set_of(first);
+        for line in first..first + lines {
+            let local_state = self.llcs[node.0].probe_at(set, line);
             match local_state {
                 Some(_) => {
                     hit_lines += 1;
                     if write {
                         // Upgrade to Modified; invalidate peers' Shared copies.
-                        self.llcs[node.0].insert(a, LineState::Modified, false);
-                        self.invalidate_peers(a, node, &mut wb, false);
+                        self.llcs[node.0].insert_at(set, line, LineState::Modified, false);
+                        self.invalidate_peers(set, line, node);
                     }
                 }
                 None => {
@@ -321,13 +329,13 @@ impl MemSystem {
                         if peer == node.0 {
                             continue;
                         }
-                        if let Some(LineState::Modified) = self.llcs[peer].peek(a) {
+                        if let Some(LineState::Modified) = self.llcs[peer].peek_at(set, line) {
                             // Implicit writeback to home + transfer to requester.
                             wb.add(home, 1);
                             if write {
-                                self.llcs[peer].invalidate(a);
+                                self.llcs[peer].invalidate_at(set, line);
                             } else {
-                                self.llcs[peer].downgrade(a);
+                                self.llcs[peer].downgrade_at(set, line);
                             }
                             c2c_lines += 1;
                             served_c2c = true;
@@ -338,7 +346,7 @@ impl MemSystem {
                         miss_lines += 1;
                         if write {
                             // Drop any Shared peer copies.
-                            self.invalidate_peers(a, node, &mut wb, false);
+                            self.invalidate_peers(set, line, node);
                         }
                     }
                     let state = if write {
@@ -346,7 +354,7 @@ impl MemSystem {
                     } else {
                         LineState::Shared
                     };
-                    match self.llcs[node.0].insert(a, state, false) {
+                    match self.llcs[node.0].insert_at(set, line, state, false) {
                         Evicted::Dirty(victim_line) => {
                             let victim_home = PhysAddr(victim_line * LINE_BYTES).home();
                             wb.add(victim_home, 1);
@@ -355,6 +363,7 @@ impl MemSystem {
                     }
                 }
             }
+            set = self.llcs[node.0].next_set(set);
         }
 
         // Bandwidth accounting. Writebacks flush first so the memoized
@@ -506,12 +515,15 @@ impl MemSystem {
         if local {
             // DDIO serves local DMA reads from the LLC when the data is
             // there; only misses touch DRAM.
+            let llc = &self.llcs[home.0];
+            let first = addr.line();
+            let mut set = llc.set_of(first);
             let mut hit_lines = 0u64;
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-                if self.llcs[home.0].peek(a).is_some() {
+            for line in first..first + lines {
+                if llc.peek_at(set, line).is_some() {
                     hit_lines += 1;
                 }
+                set = llc.next_set(set);
             }
             let miss_lines = lines - hit_lines;
             let miss_bytes = miss_lines * LINE_BYTES;
@@ -593,20 +605,31 @@ impl MemSystem {
         let local = dev_node == home;
         let lines = addr.lines_spanned(len);
         let bytes = lines * LINE_BYTES;
+        let first = addr.line();
+        // Every LLC shares one geometry, so one set index serves them all.
+        let first_set = self.llcs[home.0].set_of(first);
 
         if local && self.cfg.ddio {
+            // Peers lose their copies (full overwrite: dirty data is simply
+            // superseded). Each peer sees its invalidations in line order
+            // and the home LLC its inserts, exactly as in a per-line walk
+            // interleaving the two.
+            for (i, llc) in self.llcs.iter_mut().enumerate() {
+                if i != home.0 {
+                    llc.invalidate_range(first_set, first, lines);
+                }
+            }
             let mut wb = WritebackAcc::default();
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-                // Peers lose their copies (full overwrite: dirty data is
-                // simply superseded).
-                self.invalidate_all_peers(a, home);
-                match self.llcs[home.0].insert(a, LineState::Modified, true) {
+            let llc = &mut self.llcs[home.0];
+            let mut set = first_set;
+            for line in first..first + lines {
+                match llc.insert_at(set, line, LineState::Modified, true) {
                     Evicted::Dirty(victim) => {
                         wb.add(PhysAddr(victim * LINE_BYTES).home(), 1);
                     }
                     Evicted::Clean | Evicted::None => {}
                 }
+                set = llc.next_set(set);
             }
             self.flush_writebacks(now, home, &wb);
             // The stall is pure in `lines` (no bandwidth server on this
@@ -621,11 +644,8 @@ impl MemSystem {
             self.memo.put(key, Dur::ZERO, Dur::ZERO, exposed);
             exposed
         } else {
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-                for llc in &mut self.llcs {
-                    llc.invalidate(a);
-                }
+            for llc in &mut self.llcs {
+                llc.invalidate_range(first_set, first, lines);
             }
             let idle = self.dram[home.0].write_queue_delay(now) == Dur::ZERO
                 && (local || self.qpi.queue_delay(now, dev_node, home) == Dur::ZERO);
@@ -734,29 +754,11 @@ impl MemSystem {
         self.memo.invalidate();
     }
 
-    fn invalidate_peers(
-        &mut self,
-        a: PhysAddr,
-        keep: NodeId,
-        wb: &mut WritebackAcc,
-        writeback_dirty: bool,
-    ) {
-        for (i, llc) in self.llcs.iter_mut().enumerate() {
-            if i == keep.0 {
-                continue;
-            }
-            if let Some(LineState::Modified) = llc.invalidate(a) {
-                if writeback_dirty {
-                    wb.add(a.home(), 1);
-                }
-            }
-        }
-    }
-
-    fn invalidate_all_peers(&mut self, a: PhysAddr, keep: NodeId) {
+    /// Drops `line` (in `set`) from every LLC but `keep`'s.
+    fn invalidate_peers(&mut self, set: usize, line: u64, keep: NodeId) {
         for (i, llc) in self.llcs.iter_mut().enumerate() {
             if i != keep.0 {
-                llc.invalidate(a);
+                llc.invalidate_at(set, line);
             }
         }
     }
@@ -774,16 +776,18 @@ impl MemSystem {
     }
 }
 
+/// Most NUMA nodes a [`MemSystem`] models (the quad-socket extension uses
+/// four); sizes the stack-resident writeback accumulator.
+const MAX_NODES: usize = 8;
+
+/// Lines to write back per home node, gathered over one access.
 #[derive(Debug, Default)]
 struct WritebackAcc {
-    per_node: Vec<u64>,
+    per_node: [u64; MAX_NODES],
 }
 
 impl WritebackAcc {
     fn add(&mut self, node: NodeId, lines: u64) {
-        if self.per_node.len() <= node.0 {
-            self.per_node.resize(node.0 + 1, 0);
-        }
         self.per_node[node.0] += lines;
     }
 }

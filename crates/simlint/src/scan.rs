@@ -15,7 +15,7 @@ use crate::rules::RuleId;
 /// The zero-alloc hot-path list: (file suffix, steady-state functions).
 /// Mirrors DESIGN.md §6.2; the runtime `alloc_count` gate enforces the same
 /// contract dynamically over ~13k events.
-pub const HOT_FNS: [(&str, &[&str]); 6] = [
+pub const HOT_FNS: [(&str, &[&str]); 7] = [
     (
         "crates/kernel/src/host.rs",
         &[
@@ -33,7 +33,18 @@ pub const HOT_FNS: [(&str, &[&str]); 6] = [
     ),
     (
         "crates/memsys/src/cache.rs",
-        &["probe", "insert", "invalidate", "downgrade"],
+        &[
+            "probe_at",
+            "peek_at",
+            "insert_at",
+            "invalidate_at",
+            "downgrade_at",
+            "invalidate_range",
+        ],
+    ),
+    (
+        "crates/memsys/src/system.rs",
+        &["cpu_access", "dma_read", "dma_write"],
     ),
     (
         "crates/simcore/src/outbuf.rs",
